@@ -20,7 +20,7 @@ import (
 type phase struct {
 	setup   []time.Duration
 	win     *windowResult
-	cpu     time.Duration     // process user+sys CPU during the window
+	cpu     []cpuSample       // process user+sys CPU read through the window
 	peakRSS float64           // MB, through set-up and the window
 	maxErr  float64           // max |x−x̃| / bound over every verified output
 	failed  int               // ops that errored or failed verification
@@ -90,6 +90,14 @@ func runPhase(w workload, sc scale, seed int64, traced bool, dir string, window 
 		}
 		ph.setup = append(ph.setup, time.Since(t0))
 	}
+	var warm []*op
+	if w.warm {
+		win, err := drive(time.Now().Add(warmUp))
+		if err != nil {
+			return nil, fmt.Errorf("%s warm-up: %w", w.name, err)
+		}
+		warm = win.ops
+	}
 	var before counters
 	if traced {
 		var err error
@@ -97,17 +105,20 @@ func runPhase(w workload, sc scale, seed int64, traced bool, dir string, window 
 			return nil, err
 		}
 	}
-	cpu0 := cpuTime()
+	stop := ph.sampleCPU()
 	win, err := drive(time.Now().Add(window))
+	stop()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.name, err)
 	}
-	ph.cpu = cpuTime() - cpu0
 	ph.peakRSS = peakRSS() // before verification, which is the benchmark's own work
-	ph.win = win
 	if len(win.ops) == 0 {
 		return nil, fmt.Errorf("%s: no op completed in the window", w.name)
 	}
+	// The warm-up's ops are verified and counted like the window's, but
+	// only the window's are measured.
+	win.ops = append(warm, win.ops...)
+	ph.win = win
 	if traced {
 		after, err := f.snapshot()
 		if err != nil {
@@ -181,13 +192,10 @@ func endToEnd(ph *phase, log io.Writer) *result {
 		}
 		wire += o.wire
 	}
-	cpu := win.nominalCPU
-	if cpu == 0 {
-		cpu = ph.cpu
-	}
-	var p50s, tputs, rates []float64
+	var p50s, tputs, rates, cpus []float64
 	segDur := win.nominalWall / segments
-	for _, seg := range split(win.nominal, segDur) {
+	parts, start := split(win.nominal, segDur)
+	for i, seg := range parts {
 		var segRaw int64
 		lats := make([]time.Duration, len(seg))
 		for j, o := range seg {
@@ -199,6 +207,9 @@ func endToEnd(ph *phase, log io.Writer) *result {
 		p50s = append(p50s, ms(percentile(lats, 50)))
 		tputs = append(tputs, float64(segRaw)/1e6/segDur.Seconds())
 		rates = append(rates, float64(len(seg))/segDur.Seconds())
+		t0 := start.Add(time.Duration(i) * segDur)
+		cpu := cpuAt(ph.cpu, t0.Add(segDur)) - cpuAt(ph.cpu, t0)
+		cpus = append(cpus, cpu.Seconds()/(float64(segRaw)/1e9))
 	}
 	maxRate := win.maxRate
 	if maxRate == 0 {
@@ -215,7 +226,7 @@ func endToEnd(ph *phase, log io.Writer) *result {
 		"op_p50_ms":               {median(p50s), "ms"},
 		"compression_factor":      {float64(win.containerRaw) / float64(win.containerBytes), "ratio"},
 		"max_err_over_bound":      {ph.maxErr, "ratio"},
-		"cpu_s_per_gb":            {cpu.Seconds() / (float64(raw) / 1e9), "s/GB"},
+		"cpu_s_per_gb":            {median(cpus), "s/GB"},
 		"peak_rss_mb":             {ph.peakRSS, "MB"},
 		"max_rate_ops":            {maxRate, "ops/s"},
 		"wire_bytes_per_raw_byte": {float64(wire) / float64(raw), "ratio"},
@@ -235,7 +246,8 @@ func opTail(ops []*op, wall time.Duration) (float64, float64, int) {
 		beyond  int
 	}
 	var tails []tail
-	for _, seg := range split(ops, wall/segments) {
+	parts, _ := split(ops, wall/segments)
+	for _, seg := range parts {
 		lats := make([]time.Duration, len(seg))
 		for i, o := range seg {
 			lats[i] = o.latency()
@@ -249,12 +261,12 @@ func opTail(ops []*op, wall time.Duration) (float64, float64, int) {
 }
 
 // split divides ops into consecutive parts of length d by due time,
-// starting at the earliest; the last part also takes any op due after
-// the final boundary.
-func split(ops []*op, d time.Duration) [][]*op {
+// starting at the earliest, which it returns; the last part also takes
+// any op due after the final boundary.
+func split(ops []*op, d time.Duration) ([][]*op, time.Time) {
 	parts := make([][]*op, segments)
 	if len(ops) == 0 {
-		return parts
+		return parts, time.Time{}
 	}
 	start := ops[0].due
 	for _, o := range ops {
@@ -266,7 +278,7 @@ func split(ops []*op, d time.Duration) [][]*op {
 		i := min(int(o.due.Sub(start)/d), segments-1)
 		parts[i] = append(parts[i], o)
 	}
-	return parts
+	return parts, start
 }
 
 // percentile is the nearest-rank p-th percentile.
@@ -277,6 +289,56 @@ func percentile(lats []time.Duration, p float64) time.Duration {
 	s := sortedDurations(lats)
 	i := int(math.Ceil(p/100*float64(len(s)))) - 1
 	return s[max(i, 0)]
+}
+
+// cpuTick is how often the process CPU is read through a window.
+const cpuTick = 10 * time.Millisecond
+
+// cpuSample is the process CPU at one instant.
+type cpuSample struct {
+	at  time.Time
+	cpu time.Duration
+}
+
+// sampleCPU reads the process CPU into ph.cpu every cpuTick until the
+// returned function is called; that function takes a last reading and
+// waits for the sampler to end.
+func (ph *phase) sampleCPU() (stop func()) {
+	ph.cpu = []cpuSample{{time.Now(), cpuTime()}}
+	done, ended := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ended)
+		t := time.NewTicker(cpuTick)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				ph.cpu = append(ph.cpu, cpuSample{time.Now(), cpuTime()})
+				return
+			case <-t.C:
+				ph.cpu = append(ph.cpu, cpuSample{time.Now(), cpuTime()})
+			}
+		}
+	}()
+	return func() { close(done); <-ended }
+}
+
+// cpuAt is the process CPU at t, interpolated between the samples
+// around it and clamped to the first and last.
+func cpuAt(samples []cpuSample, t time.Time) time.Duration {
+	i := sort.Search(len(samples), func(i int) bool { return !samples[i].at.Before(t) })
+	if i == 0 {
+		return samples[0].cpu
+	}
+	if i == len(samples) {
+		return samples[len(samples)-1].cpu
+	}
+	a, b := samples[i-1], samples[i]
+	span := b.at.Sub(a.at)
+	if span <= 0 {
+		return b.cpu
+	}
+	return a.cpu + time.Duration(float64(b.cpu-a.cpu)*float64(t.Sub(a.at))/float64(span))
 }
 
 func cpuTime() time.Duration {

@@ -92,7 +92,6 @@ type windowResult struct {
 	// hot_slabs.
 	nominal     []*op
 	nominalWall time.Duration
-	nominalCPU  time.Duration   // process CPU over the nominal ops; 0 means the whole window's
 	late        []time.Duration // generator lateness per op
 	maxRate     float64         // ops/s; 0 for a closed loop, whose rate is what it ran at
 	// containerRaw and containerBytes give the compression factor of the
@@ -103,13 +102,22 @@ type windowResult struct {
 type workload struct {
 	name  string
 	setup func(e *env, f *fleetT) (func(deadline time.Time) (*windowResult, error), error)
+	// warm runs the window's load for warmUp before the measured window,
+	// so the heap, the connections and the fleet's pools are at their
+	// steady state when timing starts. hot_slabs warms its caches in
+	// set-up instead, and rebalance_read must start right after its live
+	// add.
+	warm bool
 }
 
+// warmUp is how long a warmed workload runs before its measured window.
+const warmUp = 3 * time.Second
+
 var workloads = []workload{
-	{"ingest", setupIngest},
-	{"cold_read", setupColdRead},
-	{"hot_slabs", setupHotSlabs},
-	{"rebalance_read", setupRebalanceRead},
+	{"ingest", setupIngest, true},
+	{"cold_read", setupColdRead, true},
+	{"hot_slabs", setupHotSlabs, false},
+	{"rebalance_read", setupRebalanceRead, false},
 }
 
 func workloadNames() []string {
@@ -288,8 +296,9 @@ func setupIngest(e *env, f *fleetT) (func(time.Time) (*windowResult, error), err
 	if err != nil {
 		return nil, err
 	}
+	// Variants stay distinct across the warm-up and the window.
+	var next atomic.Int64
 	return func(deadline time.Time) (*windowResult, error) {
-		var next atomic.Int64
 		ops := closedLoop(users, deadline, func(i, k int) func(u *user, o *op) error {
 			v := int(next.Add(1))
 			return compressOp(bases[v%len(bases)], v, f, nil)
@@ -325,8 +334,8 @@ func closedResult(ops []*op, raw, stored int64) *windowResult {
 }
 
 // cold_read: two clients in a closed loop make one whole-field
-// DecompressAt to every seven raw ReadSlabAt by digest, cycling from
-// offset starts over a working set far larger than the router cache, so
+// DecompressAt to every seven raw ReadSlabAt by digest, cycling from a
+// seeded start over a working set far larger than the router cache, so
 // every read is decoded on a backend.
 func setupColdRead(e *env, f *fleetT) (func(time.Time) (*windowResult, error), error) {
 	bases := genFields(e.sc.dims, e.sc.slabRows, seeds(e.seed, 2, e.sc.coldBases))
@@ -340,13 +349,18 @@ func setupColdRead(e *env, f *fleetT) (func(time.Time) (*windowResult, error), e
 	}
 	refs := newReferences()
 	start := rand.New(rand.NewSource(e.seed)).Intn(len(ctrs))
+	// Both users take their reads from one cycle, so no read repeats
+	// another's key while it may still be cached: a (container, slab)
+	// key comes round again only after a pass over every container and
+	// slab. The position carries on from the warm-up into the window.
+	var next atomic.Int64
 	return func(deadline time.Time) (*windowResult, error) {
 		var raw, stored atomic.Int64
 		ops := closedLoop(users, deadline, func(i, k int) func(u *user, o *op) error {
-			pos := i*len(ctrs)/len(users) + k
-			c := ctrs[(start+pos)%len(ctrs)]
+			pos := start + int(next.Add(1)-1)
+			c := ctrs[pos%len(ctrs)]
 			slabs := c.base.numSlabs()
-			if k%8 == 0 {
+			if pos%8 == 0 {
 				raw.Add(c.base.rawBytes())
 				stored.Add(int64(len(c.bytes)))
 				return decompressOp(refs, c)
@@ -424,7 +438,7 @@ func setupHotSlabs(e *env, f *fleetT) (func(time.Time) (*windowResult, error), e
 			for i := range arrivals {
 				arrivals[i].key = rank[arrivals[i].key]
 			}
-			begin, cpu0 := time.Now(), cpuTime()
+			begin := time.Now()
 			ops, late := openLoop(users, arrivals, func(a arrival) func(u *user, o *op) error {
 				c := ctrs[a.key/slabs]
 				if a.alt {
@@ -435,7 +449,7 @@ func setupHotSlabs(e *env, f *fleetT) (func(time.Time) (*windowResult, error), e
 			w.ops = append(w.ops, ops...)
 			w.late = append(w.late, late...)
 			if r == 0 {
-				w.nominal, w.nominalWall, w.nominalCPU = ops, rungDur, cpuTime()-cpu0
+				w.nominal, w.nominalWall = ops, rungDur
 			}
 			lats := make([]time.Duration, len(ops))
 			errs := 0
