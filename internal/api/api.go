@@ -75,6 +75,19 @@ const (
 // extents served without a backend decode.
 const MediaTypeSlabExtent = "application/x-sz-slab"
 
+// WantsSlabExtent reports whether an Accept field value asks for the
+// compressed slab extent rather than decoded samples. It is the one
+// negotiation rule: szd serves by it (and answers Vary: Accept), and
+// the router keys its cache and coalescing on it.
+func WantsSlabExtent(accept string) bool {
+	for _, part := range strings.Split(accept, ",") {
+		if mt, _, _ := strings.Cut(strings.TrimSpace(part), ";"); mt == MediaTypeSlabExtent {
+			return true
+		}
+	}
+	return false
+}
+
 // DefaultTenant is the identity of requests that carry no API key.
 const DefaultTenant = "default"
 

@@ -81,18 +81,6 @@ func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *Client) { c.retry = p }
 }
 
-// WithRetry sets the attempt budget and initial backoff for replayable
-// requests shed with 429/503 (defaults: 4 attempts, 100 ms doubling).
-//
-// Deprecated: use WithRetryPolicy, which also controls the backoff cap
-// and Retry-After handling.
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return func(c *Client) {
-		c.retry.MaxAttempts = attempts
-		c.retry.Backoff = backoff
-	}
-}
-
 // WithTenant attaches an API key to every request. The daemon resolves
 // the tenant as the key's prefix up to the first '.', and holds each
 // tenant to its weighted-fair share of the admission budget under
@@ -430,7 +418,22 @@ func (c *Client) ReadSlab(ctx context.Context, src io.Reader, size int64, lo, hi
 	if err != nil {
 		return nil, err
 	}
+	if err := rawSlab(resp); err != nil {
+		return nil, err
+	}
 	return c.wrapTiming("slab", resp), nil
+}
+
+// rawSlab rejects a slab response that is not the raw samples the
+// caller asked for — a compressed extent from a cache that ignored
+// Accept — instead of handing compressed bytes back as samples. It
+// closes the body on error.
+func rawSlab(resp *http.Response) error {
+	if ct := resp.Header.Get("Content-Type"); ct == api.MediaTypeSlabExtent {
+		resp.Body.Close()
+		return fmt.Errorf("client: slab response is a compressed extent (%s), not raw samples", ct)
+	}
+	return nil
 }
 
 // NewReader opens a remote decompressor: src supplies a compressed

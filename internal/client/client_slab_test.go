@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -71,5 +73,31 @@ func TestSlabEndpointsViaClient(t *testing.T) {
 	// Bad range is rejected client-side before any request.
 	if _, err := cl.ReadSlab(ctx, bytes.NewReader(stream), -1, 2, 1); err == nil {
 		t.Fatal("inverted range accepted")
+	}
+}
+
+// TestRawSlabReadersRejectExtent: a raw slab reader that is answered
+// with a compressed extent (a cache that ignored Accept) must fail
+// instead of handing compressed bytes back as samples.
+func TestRawSlabReadersRejectExtent(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", api.MediaTypeSlabExtent)
+		w.Header().Set("Etag", `"`+strings.Repeat("a", 64)+`"`)
+		w.Write([]byte("compressed extent bytes"))
+	}))
+	defer ts.Close()
+	cl, err := New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if rc, err := cl.ReadSlab(ctx, bytes.NewReader([]byte("container")), 9, 0, 0); err == nil {
+		rc.Close()
+		t.Error("ReadSlab accepted a compressed extent as raw samples")
+	}
+	if rc, err := cl.ReadSlabAt(ctx, strings.Repeat("a", 64), 0, 0); err == nil {
+		rc.Close()
+		t.Error("ReadSlabAt accepted a compressed extent as raw samples")
 	}
 }

@@ -119,6 +119,9 @@ func (c *Client) ReadSlabAt(ctx context.Context, digest string, lo, hi int) (io.
 		c.reportTiming("slab", resp)
 		return io.NopCloser(bytes.NewReader(cached.body)), nil
 	}
+	if err := rawSlab(resp); err != nil {
+		return nil, err
+	}
 	etag := etagOf(resp)
 	if etag == "" {
 		return c.wrapTiming("slab", resp), nil

@@ -703,11 +703,13 @@ var identityExempt = map[string]bool{
 }
 
 // requestIdentity builds the cache/coalescing key: the endpoint, path,
-// canonicalized query, the X-Sz-* parameter headers, and the body
-// digest. Two requests with equal identity are guaranteed the same
-// response bytes (the decode endpoints are pure functions of input and
-// parameters). identityExempt headers are skipped — they shape
-// admission and accounting, never the payload.
+// canonicalized query, the X-Sz-* parameter headers, the body digest,
+// and the negotiated representation (a slab read's Accept picks the
+// compressed extent or decoded samples; szd answers Vary: Accept). Two
+// requests with equal identity are guaranteed the same response bytes
+// (the decode endpoints are pure functions of input and parameters).
+// identityExempt headers are skipped — they shape admission and
+// accounting, never the payload.
 func requestIdentity(endpoint string, r *http.Request, digest string) string {
 	var b strings.Builder
 	b.WriteString(endpoint)
@@ -731,6 +733,9 @@ func requestIdentity(endpoint string, r *http.Request, digest string) string {
 	}
 	b.WriteByte('|')
 	b.WriteString(digest)
+	if api.WantsSlabExtent(r.Header.Get("Accept")) {
+		b.WriteString("|" + api.MediaTypeSlabExtent)
+	}
 	return b.String()
 }
 

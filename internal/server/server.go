@@ -24,6 +24,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -727,39 +728,29 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}
 	// A digest-referenced read carries no body: the container comes off
 	// the store's mmap. Plain decompress stays POST-only.
-	if ent, done := s.openStoreEntry(w, r, "decompress", start); done {
-		if ent != nil {
-			s.serveDecompressFromStore(w, r, tr, ent, p, vals.Get("codec"), start)
-		}
+	src, ok := s.openSource(w, r, "decompress", start)
+	if !ok {
 		return
 	}
-	if r.Method != http.MethodPost {
+	defer src.release()
+	if src.ent == nil && r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST (or GET with ?digest=)"))
-		return
-	}
-	declared := declaredLength(r)
-	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-		s.reject(w, "decompress", "", http.StatusRequestEntityTooLarge, errTooLarge, start)
 		return
 	}
 
 	// Resolve the codec: forced via ?codec=, else detected from the
 	// stream magic (peeking consumes nothing).
-	br := newPeekReader(r.Body)
 	var c codec.Codec
 	if name := vals.Get("codec"); name != "" {
 		if c, err = codec.Lookup(name); err != nil {
 			s.reject(w, "decompress", name, http.StatusBadRequest, err, start)
 			return
 		}
-	} else {
-		prefix, _ := br.Peek(4)
-		if c, err = codec.Detect(prefix); err != nil {
-			s.reject(w, "decompress", "", http.StatusBadRequest,
-				fmt.Errorf("%w; pass ?codec= explicitly", err), start)
-			return
-		}
+	} else if c, err = codec.Detect(src.head(4)); err != nil {
+		s.reject(w, "decompress", "", http.StatusBadRequest,
+			fmt.Errorf("%w; pass ?codec= explicitly", err), start)
+		return
 	}
 	name := c.Name()
 
@@ -769,38 +760,43 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	var header []byte
 	switch name {
 	case "blocked":
-		header, _ = br.Peek(blocked.MaxHeaderLen)
+		header = src.head(blocked.MaxHeaderLen)
 	case "sz14":
-		header, _ = br.Peek(core.MaxHeaderLen)
+		header = src.head(core.MaxHeaderLen)
 	}
-	charge, streaming := s.decompressCharge(name, declared, header)
-	gr, status, err := s.admit(r.Context(), tr, charge, 1)
-	if err != nil {
-		s.reject(w, "decompress", name, status, err, start)
+	charge, streaming := s.decompressCharge(name, src.size, header)
+	if !s.admitSource(w, r, &src, "decompress", name, charge, start) {
 		return
 	}
-	defer gr.release()
-
-	// See handleCompress: required so chunked request bodies survive
-	// the first response flush on HTTP/1.
-	http.NewResponseController(w).EnableFullDuplex()
-	body := newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 5, streaming)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(api.HeaderCodec, name)
-	// Tee the container into the store as the decode consumes it: the
-	// body's digest becomes the response's ETag trailer, and the next
-	// read of this container can reference it with no upload at all.
-	var src io.Reader = body
+
+	// A stored entry decodes straight off the mapping. A body streams
+	// through the metered reader and is tee'd into the store as the
+	// decode consumes it: its digest becomes the response's ETag
+	// trailer, and the next read of this container can reference it
+	// with no upload at all.
+	var in io.Reader
+	var body *meteredReader
 	var tee *bestEffortPut
-	if s.cfg.Store != nil {
-		if put, perr := s.cfg.Store.NewPut(); perr == nil {
-			tee = &bestEffortPut{p: put, t: tr}
-			src = io.TeeReader(body, tee)
-			w.Header().Add("Trailer", "Etag")
+	if src.ent != nil {
+		in = bytes.NewReader(src.stream)
+	} else {
+		// See handleCompress: required so chunked request bodies survive
+		// the first response flush on HTTP/1.
+		http.NewResponseController(w).EnableFullDuplex()
+		body = newMeteredReader(src.body, src.gr, src.size, charge, s.cfg.MaxRequestBytes, 5, streaming)
+		in = body
+		if s.cfg.Store != nil {
+			if put, perr := s.cfg.Store.NewPut(); perr == nil {
+				tee = &bestEffortPut{p: put, t: tr}
+				in = io.TeeReader(body, tee)
+				w.Header().Add("Trailer", "Etag")
+			}
 		}
 	}
 	out := &respWriter{ResponseWriter: w}
-	zr, err := c.NewReader(src, p)
+	zr, err := c.NewReader(in, p)
 	if err != nil {
 		// Buffered codecs consume the whole body inside NewReader, so
 		// governance errors (413/429) can surface here — keep their
@@ -825,7 +821,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			// stream is self-delimiting, trailing footer bytes may be
 			// unread) so the stored digest matches the full body — the
 			// same bytes the router hashed for ring placement.
-			if _, derr := io.CopyBuffer(io.Discard, src, cbuf); derr == nil {
+			if _, derr := io.CopyBuffer(io.Discard, in, cbuf); derr == nil {
 				if digest := tee.commit(); digest != "" {
 					w.Header().Set("Etag", etagFor(digest))
 				}
@@ -836,7 +832,11 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			tee.abort()
 		}
 	}
-	s.finishStream(w, out, "decompress", name, body.n, err, start)
+	var bytesIn int64
+	if body != nil {
+		bytesIn = body.n
+	}
+	s.finishStream(w, out, "decompress", name, bytesIn, err, start)
 }
 
 // reject records and reports a request that failed before its response
@@ -877,34 +877,18 @@ func (s *Server) handleCodecs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
+	if !s.getOrPost(w, r) {
 		return
 	}
-	declared := declaredLength(r)
-	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-		s.reject(w, "inspect", "", http.StatusRequestEntityTooLarge, errTooLarge, start)
+	src, ok := s.bodySource(w, r, "inspect", start)
+	if !ok {
 		return
 	}
-	charge := declared
-	if charge < 0 {
-		charge = s.unknownCharge()
-	}
-	gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), charge, 1)
-	if err != nil {
-		s.reject(w, "inspect", "", status, err, start)
+	defer src.release()
+	if !s.readContainer(w, r, &src, "inspect", s.bufferCharge(&src), start) {
 		return
 	}
-	defer gr.release()
-	body := newMeteredReader(r.Body, gr, declared, charge, s.cfg.MaxRequestBytes, 1, false)
-	stream, err := readAllScratch(body, declared)
-	defer scratch.PutBytes(stream)
-	if err != nil {
-		s.reject(w, "inspect", "", streamErrStatus(err), err, start)
-		return
-	}
-	si, err := codec.InspectStream(stream)
+	si, err := codec.InspectStream(src.stream)
 	if err != nil {
 		s.reject(w, "inspect", "", http.StatusBadRequest, err, start)
 		return
@@ -917,7 +901,7 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	resp = append(resp, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
-	s.met.record("inspect", si.Codec, http.StatusOK, int64(len(stream)), int64(len(resp)), time.Since(start))
+	s.met.record("inspect", si.Codec, http.StatusOK, src.bytesIn(), int64(len(resp)), time.Since(start))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

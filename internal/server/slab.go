@@ -1,21 +1,22 @@
 package server
 
 // Slab range serving: the paper's random-access decompression pattern
-// over HTTP. A blocked v2 container carries a seekable footer index, so
-// a client holding the compressed stream can ask the daemon for any
-// contiguous slab range without paying for a full decode:
+// over HTTP. A blocked container carries a seekable footer index, so a
+// client can ask the daemon for any contiguous slab range without
+// paying for a full decode:
 //
 //	GET|POST /v1/slabs       container in, footer index out (JSON)
 //	GET|POST /v1/slab/{i}    container in, slab i's raw samples out
 //	GET|POST /v1/slab/{lo-hi}  inclusive slab range, concatenated
 //
-// The container body still travels with the request (szd stores
-// nothing); what the endpoint saves is decode work and response bytes —
-// only the requested rows are reconstructed and returned.
+// The container travels as the request body or is named by digest and
+// served off the store (see source in store.go); either way one handler
+// per endpoint parses the index and serves the range. Only the
+// requested rows are reconstructed and returned — or, when the client
+// accepts it, the range's compressed bytes with no decode at all.
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -25,74 +26,80 @@ import (
 	"repro/internal/blocked"
 	"repro/internal/codec"
 	"repro/internal/obs"
-	"repro/internal/scratch"
 )
 
-// slabCharge estimates the memory a slab-range request pins: the whole
-// container (buffered for footer access) plus the decoded range — one
-// float64 working copy and the raw output per cell, with headroom for
-// the per-worker slab reconstructions (24 B/cell total). The range
-// geometry comes from the peeked, attacker-supplied header, so every
-// product saturates.
-func (s *Server) slabCharge(declared int64, header []byte, lo, hi int) int64 {
-	base := declared
-	if base < 0 {
-		base = s.unknownCharge()
-	}
-	ci, err := blocked.ParseContainerHeader(header)
-	if err != nil {
-		return satMul(base, 2)
+// slabCharge estimates the memory a slab-range read pins: the buffered
+// container plus the decoded range — one float64 working copy and the
+// raw output per cell, with headroom for the per-worker slab
+// reconstructions (24 B/cell total). A body's range geometry comes from
+// its peeked, attacker-supplied header, so every product saturates. A
+// stored entry is mapped, not buffered, and its index is cheap to parse
+// up front: it is charged the decode alone, floored at the mmap read
+// charge, and an extent it serves without decoding costs only that
+// floor.
+func (s *Server) slabCharge(src *source, lo, hi int, extent bool) int64 {
+	base := s.bufferCharge(src)
+	var dims []int
+	var slabRows int
+	if src.ent != nil {
+		ix, err := src.index()
+		if err != nil || extent && !ix.SharedCodebook() {
+			return base
+		}
+		dims, slabRows = ix.Dims, ix.SlabRows
+	} else {
+		ci, err := blocked.ParseContainerHeader(src.head(blocked.MaxHeaderLen))
+		if err != nil {
+			return satMul(base, 2)
+		}
+		dims, slabRows = ci.Dims, ci.SlabRows
 	}
 	rowCells := int64(1)
-	for _, d := range ci.Dims[1:] {
+	for _, d := range dims[1:] {
 		rowCells = satMul(rowCells, int64(d))
 	}
-	rows := satMul(int64(hi-lo+1), int64(ci.SlabRows))
-	if rows > int64(ci.Dims[0]) {
-		rows = int64(ci.Dims[0])
+	rows := satMul(int64(hi-lo+1), int64(slabRows))
+	if rows > int64(dims[0]) {
+		rows = int64(dims[0])
 	}
-	return base + satMul(satMul(rows, rowCells), 24)
+	decode := satMul(satMul(rows, rowCells), 24)
+	if src.ent != nil {
+		return max(base, decode)
+	}
+	return base + decode
+}
+
+// getOrPost admits the methods the buffered read endpoints take (GET
+// with a body, or POST); on false the 405 has been written.
+func (s *Server) getOrPost(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodGet || r.Method == http.MethodPost {
+		return true
+	}
+	w.Header().Set("Allow", "GET, POST")
+	s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
+	return false
 }
 
 func (s *Server) handleSlabs(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
+	if !s.getOrPost(w, r) {
 		return
 	}
-	// Digest-referenced: serve the index off the store's mmap'd entry.
-	if ent, done := s.openStoreEntry(w, r, "slabs", start); done {
-		if ent != nil {
-			s.serveSlabsFromStore(w, r, ent, start)
-		}
-		return
-	}
-	stream, gr, ok := s.readContainer(w, r, "slabs", nil, start)
+	src, ok := s.openSource(w, r, "slabs", start)
 	if !ok {
 		return
 	}
-	defer gr.release()
-	defer scratch.PutBytes(stream)
-	// The body's digest is this response's ETag: a repeat reader that
-	// still holds the index answers in a header round-trip, before any
-	// footer walk happens.
-	etag := etagFor(bodyDigest(stream))
-	if ifNoneMatchHas(r, etag) {
-		s.notModified(w, "slabs", "blocked", etag, start)
+	defer src.release()
+	if !s.readContainer(w, r, &src, "slabs", s.bufferCharge(&src), start) || s.revalidated(w, r, &src, "slabs", start) {
 		return
 	}
-	si, err := codec.SlabIndexOf(stream)
+	ix, err := src.index()
 	if err != nil {
 		s.reject(w, "slabs", "", http.StatusBadRequest, err, start)
 		return
 	}
-	// A validated container is worth keeping: persist it so the next
-	// read can reference the digest instead of re-uploading (tier-2
-	// fill through the body path).
-	s.storePut(stream)
-	w.Header().Set("Etag", etag)
-	resp, err := json.Marshal(si)
+	s.keep(w, &src)
+	resp, err := json.Marshal(codec.SlabIndexFrom(src.stream, ix))
 	if err != nil {
 		s.reject(w, "slabs", "blocked", http.StatusInternalServerError, err, start)
 		return
@@ -100,116 +107,94 @@ func (s *Server) handleSlabs(w http.ResponseWriter, r *http.Request) {
 	resp = append(resp, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
-	s.met.record("slabs", "blocked", http.StatusOK, int64(len(stream)), int64(len(resp)), time.Since(start))
+	s.met.record("slabs", "blocked", http.StatusOK, src.bytesIn(), int64(len(resp)), time.Since(start))
 }
 
 func (s *Server) handleSlab(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
+	// The representation follows Accept — compressed extent or decoded
+	// samples — so a shared cache must key on it.
+	w.Header().Set("Vary", "Accept")
+	if !s.getOrPost(w, r) {
 		return
 	}
-	spec := strings.TrimPrefix(r.URL.Path, api.PathSlabPrefix)
-	lo, hi, err := codec.ParseSlabSpec(spec)
+	lo, hi, err := codec.ParseSlabSpec(strings.TrimPrefix(r.URL.Path, api.PathSlabPrefix))
 	if err != nil {
 		s.reject(w, "slab", "", http.StatusBadRequest, err, start)
 		return
 	}
-	// Digest-referenced: mmap'd entry, no upload, no CRC walk, and the
-	// compressed extent zero-copy when the client accepts it.
-	if ent, done := s.openStoreEntry(w, r, "slab", start); done {
-		if ent != nil {
-			s.serveSlabFromStore(w, r, ent, lo, hi, start)
-		}
-		return
-	}
-	rng := [2]int{lo, hi}
-	stream, gr, ok := s.readContainer(w, r, "slab", &rng, start)
+	extent := api.WantsSlabExtent(r.Header.Get("Accept"))
+	src, ok := s.openSource(w, r, "slab", start)
 	if !ok {
 		return
 	}
-	defer gr.release()
-	defer scratch.PutBytes(stream)
-	// Conditional check before any decode: the body just traveled, but
-	// the decode work (the expensive part) is still skippable.
-	etag := etagFor(bodyDigest(stream))
-	if ifNoneMatchHas(r, etag) {
-		s.notModified(w, "slab", "blocked", etag, start)
+	defer src.release()
+	if !s.readContainer(w, r, &src, "slab", s.slabCharge(&src, lo, hi, extent), start) || s.revalidated(w, r, &src, "slab", start) {
 		return
 	}
-	if wantsCompressedSlab(r) {
-		// One pass: Inspect parses and CRC-verifies the container (the
-		// bytes are untrusted on the body path), then the extent is a
-		// pure slice.
-		ix, err := blocked.Inspect(stream)
-		if err != nil {
-			s.reject(w, "slab", "blocked", http.StatusBadRequest, err, start)
-			return
-		}
-		if !ix.SharedCodebook() {
-			s.storePut(stream)
-			w.Header().Set("Etag", etag)
-			s.serveSlabExtent(w, obs.FromContext(r.Context()), stream, ix, lo, hi, int64(len(stream)), start)
-			return
-		}
-		// Shared-codebook containers have no self-contained extent;
-		// fall through to decoded samples.
+	ix, err := src.index()
+	if err != nil {
+		s.reject(w, "slab", "blocked", http.StatusBadRequest, err, start)
+		return
 	}
-	// One pass: DecompressSlabRange parses and CRC-verifies the
-	// container itself, so no separate index parse runs first (on large
-	// containers the footer walk and checksum dominate non-decode cost).
-	sp := obs.FromContext(r.Context()).StartSpan("decode")
-	arr, dt, err := blocked.DecompressSlabRange(stream, lo, hi)
+	off, end, err := ix.SlabExtent(lo, hi)
+	if err != nil {
+		// A well-formed spec beyond the container's extent is the range
+		// version of a seek past EOF, not a malformed request.
+		s.reject(w, "slab", "blocked", http.StatusRequestedRangeNotSatisfiable, err, start)
+		return
+	}
+	tr := obs.FromContext(r.Context())
+	h := w.Header()
+	if extent && !ix.SharedCodebook() {
+		// A pure slice of the container: the zero-copy fast path.
+		s.keep(w, &src)
+		rowLo, _ := ix.SlabBounds(lo)
+		_, rowHi := ix.SlabBounds(hi)
+		dims := append([]int(nil), ix.Dims...)
+		dims[0] = rowHi - rowLo
+		h.Set("Content-Type", SlabContentType)
+		h.Set(api.HeaderCodec, "blocked")
+		h.Set(api.HeaderDims, codec.FormatDims(dims))
+		h.Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
+		h.Set(api.HeaderSlabLengths, formatSlabLengths(ix, lo, hi))
+		out := &respWriter{ResponseWriter: w}
+		sp := tr.StartSpan("mmap_serve")
+		_, err = out.Write(src.stream[off:end])
+		sp.End()
+		s.finishStream(w, out, "slab", "blocked", src.bytesIn(), err, start)
+		return
+	}
+	// Decoded samples — also the answer to an extent request on a
+	// shared-codebook container, which has no self-contained extent.
+	sp := tr.StartSpan("decode")
+	arr, dt, err := blocked.DecompressSlabRangeIndexed(src.stream, ix, lo, hi)
 	sp.End()
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, blocked.ErrSlabRange) {
-			// A well-formed spec beyond the container's extent is the
-			// range version of a seek past EOF, not a malformed request.
-			status = http.StatusRequestedRangeNotSatisfiable
-		}
-		s.reject(w, "slab", "blocked", status, err, start)
+		s.reject(w, "slab", "blocked", http.StatusBadRequest, err, start)
 		return
 	}
-	s.storePut(stream)
-	w.Header().Set("Etag", etag)
-	s.writeSlabRaw(w, arr, dt, lo, hi, int64(len(stream)), start)
+	s.keep(w, &src)
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set(api.HeaderCodec, "blocked")
+	h.Set(api.HeaderDtype, dt.String())
+	h.Set(api.HeaderDims, codec.FormatDims(arr.Dims))
+	h.Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
+	out := &respWriter{ResponseWriter: w}
+	err = arr.WriteRaw(out, dt)
+	s.finishStream(w, out, "slab", "blocked", src.bytesIn(), err, start)
 }
 
-// readContainer admits and buffers the request body for the slab
-// endpoints. rng, when set, lets the admission charge cover the decode
-// footprint of that slab range (peeked from the container header); nil
-// charges the buffered body alone. On ok the caller owns the returned
-// grant (release it when the decode is done); on !ok the response has
-// already been written.
-func (s *Server) readContainer(w http.ResponseWriter, r *http.Request, endpoint string, rng *[2]int, start time.Time) ([]byte, *grant, bool) {
-	declared := declaredLength(r)
-	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
-		s.reject(w, endpoint, "", http.StatusRequestEntityTooLarge, errTooLarge, start)
-		return nil, nil, false
+// formatSlabLengths renders the per-slab stream lengths of lo..hi as a
+// comma list so an extent's receiver can split it without re-fetching
+// the index.
+func formatSlabLengths(ix *blocked.Index, lo, hi int) string {
+	var b strings.Builder
+	for i := lo; i <= hi; i++ {
+		if i > lo {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", ix.Offsets[i+1]-ix.Offsets[i])
 	}
-	br := newPeekReader(r.Body)
-	charge := declared
-	if charge < 0 {
-		charge = s.unknownCharge()
-	}
-	if rng != nil {
-		header, _ := br.Peek(blocked.MaxHeaderLen)
-		charge = s.slabCharge(declared, header, rng[0], rng[1])
-	}
-	gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), charge, 1)
-	if err != nil {
-		s.reject(w, endpoint, "", status, err, start)
-		return nil, nil, false
-	}
-	body := newMeteredReader(br, gr, declared, charge, s.cfg.MaxRequestBytes, 1, false)
-	stream, err := readAllScratch(body, declared)
-	if err != nil {
-		scratch.PutBytes(stream)
-		gr.release()
-		s.reject(w, endpoint, "", streamErrStatus(err), err, start)
-		return nil, nil, false
-	}
-	return stream, gr, true
+	return b.String()
 }

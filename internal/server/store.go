@@ -18,7 +18,6 @@ package server
 // not.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -32,7 +31,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/blocked"
 	"repro/internal/codec"
-	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/scratch"
 	"repro/internal/store"
@@ -163,31 +161,50 @@ func (b *bestEffortPut) abort() {
 	}
 }
 
-// openStoreEntry resolves a digest-referenced request against the
-// store: (nil, true) when the request was fully answered (304, 404, or
-// a malformed digest), (entry, true) with the response still to write
-// on a hit. The X-Sz-Store header tells routers and tests whether the
-// tier-2 disk store answered. A 304 needs no store access at all — the
-// digest names the bytes, so a matching If-None-Match is decisive even
-// for an entry that was evicted.
-func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time) (*store.Entry, bool) {
+// source is a read request's container, resolved once so each read
+// endpoint runs one handler whichever tier holds the bytes. It is
+// either the request body — untrusted: admitted before it is read,
+// CRC-verified when its index is parsed, and persisted once it
+// validates — or a store entry: mmap'd, served zero-copy, and
+// digest-verified when it was written, so its index parses without the
+// CRC walk.
+type source struct {
+	ent    *store.Entry // nil on the body path
+	body   *peekReader  // body path: the request body, not yet consumed
+	size   int64        // the entry's length, or the body's declared one (-1 unknown)
+	stream []byte       // the whole container: the mapped entry, or the body once buffered
+	etag   string       // the container's ETag once known
+	gr     *grant       // the admission grant once taken
+
+	ix    *blocked.Index // the parsed footer index, once asked for
+	ixErr error
+}
+
+// openSource resolves a read request's container. A digest reference
+// (?digest= or X-Sz-Digest) opens the store entry: a matching
+// If-None-Match answers 304 before the store is touched — the digest
+// names the bytes, so the match is decisive even for an evicted entry —
+// and X-Sz-Store tells routers and tests whether the tier-2 disk store
+// answered. Without one the container is the request body. On false the
+// response has been written.
+func (s *Server) openSource(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time) (source, bool) {
 	digest, err := requestDigest(r)
 	if err != nil {
 		s.reject(w, endpoint, "", http.StatusBadRequest, err, start)
-		return nil, true
+		return source{}, false
 	}
 	if digest == "" {
-		return nil, false // body-carrying request
+		return s.bodySource(w, r, endpoint, start)
 	}
 	etag := etagFor(digest)
 	if ifNoneMatchHas(r, etag) {
 		s.notModified(w, endpoint, "", etag, start)
-		return nil, true
+		return source{}, false
 	}
 	if s.cfg.Store == nil {
 		s.reject(w, endpoint, "", http.StatusNotFound,
 			fmt.Errorf("digest-referenced reads need a store (-store-dir)"), start)
-		return nil, true
+		return source{}, false
 	}
 	sp := obs.FromContext(r.Context()).StartSpan("store_read")
 	ent, err := s.cfg.Store.Get(digest)
@@ -199,229 +216,151 @@ func (s *Server) openStoreEntry(w http.ResponseWriter, r *http.Request, endpoint
 			status = http.StatusInternalServerError
 		}
 		s.reject(w, endpoint, "", status, fmt.Errorf("container %s not in store", digest), start)
-		return nil, true
+		return source{}, false
 	}
 	w.Header().Set(api.HeaderStore, "hit")
 	w.Header().Set("Etag", etag)
-	return ent, true
+	return source{ent: ent, size: ent.Size(), stream: ent.Bytes(), etag: etag}, true
 }
 
-// serveDecompressFromStore answers a digest-referenced decompress off
-// the mmap'd entry: no upload, no buffered container copy for the
-// streaming codecs — the charge is the decode window alone.
-func (s *Server) serveDecompressFromStore(w http.ResponseWriter, r *http.Request, tr *obs.Trace, ent *store.Entry, p codec.Params, forced string, start time.Time) {
-	defer ent.Release()
-	stream := ent.Bytes()
-	var c codec.Codec
+// bodySource takes the request body as the container, refusing a
+// declared length beyond the per-request cap before reading any of it.
+func (s *Server) bodySource(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time) (source, bool) {
+	declared := declaredLength(r)
+	if s.cfg.MaxRequestBytes > 0 && declared > s.cfg.MaxRequestBytes {
+		s.reject(w, endpoint, "", http.StatusRequestEntityTooLarge, errTooLarge, start)
+		return source{}, false
+	}
+	return source{body: newPeekReader(r.Body), size: declared}, true
+}
+
+// head returns the container's leading bytes, at least n where it has
+// them: a peek of the unread body, or the whole mapped entry (the header
+// parsers read a bounded prefix).
+func (src *source) head(n int) []byte {
+	if src.ent != nil {
+		return src.stream
+	}
+	h, _ := src.body.Peek(n)
+	return h
+}
+
+// bytesIn is the request-body byte count the metrics record for a
+// buffered read: none for a stored entry.
+func (src *source) bytesIn() int64 {
+	if src.ent != nil {
+		return 0
+	}
+	return int64(len(src.stream))
+}
+
+// bufferCharge is what holding the whole container pins: a body's
+// declared length (or the flat unknown-length charge); for a store
+// entry only the response plumbing — the mapped payload pins page
+// cache, not heap.
+func (s *Server) bufferCharge(src *source) int64 {
+	switch {
+	case src.ent != nil:
+		return mmapReadCharge
+	case src.size < 0:
+		return s.unknownCharge()
+	}
+	return src.size
+}
+
+// admitSource takes the request's admission grant, which the source
+// then holds. On false the response has been written.
+func (s *Server) admitSource(w http.ResponseWriter, r *http.Request, src *source, endpoint, codecName string, charge int64, start time.Time) bool {
+	gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), charge, 1)
+	if err != nil {
+		s.reject(w, endpoint, codecName, status, err, start)
+		return false
+	}
+	src.gr = gr
+	return true
+}
+
+// readContainer admits a buffered read at charge and loads the whole
+// container: a store entry is already mapped; a body is read into a
+// scratch buffer, metered against the grant and the per-request cap.
+// On false the response has been written.
+func (s *Server) readContainer(w http.ResponseWriter, r *http.Request, src *source, endpoint string, charge int64, start time.Time) bool {
+	if !s.admitSource(w, r, src, endpoint, "", charge, start) {
+		return false
+	}
+	if src.ent != nil {
+		return true
+	}
+	body := newMeteredReader(src.body, src.gr, src.size, charge, s.cfg.MaxRequestBytes, 1, false)
 	var err error
-	if forced != "" {
-		c, err = codec.Lookup(forced)
-	} else {
-		c, err = codec.Detect(stream)
-	}
+	src.stream, err = readAllScratch(body, src.size)
 	if err != nil {
-		s.reject(w, "decompress", forced, http.StatusBadRequest, err, start)
-		return
+		s.reject(w, endpoint, "", streamErrStatus(err), err, start)
+		return false
 	}
-	name := c.Name()
-	// The header parsers read a bounded prefix; handing them the whole
-	// mapped stream skips the peek-reader dance of the body path.
-	charge, _ := s.decompressCharge(name, int64(len(stream)), stream)
-	gr, status, err := s.admit(r.Context(), tr, charge, 1)
-	if err != nil {
-		s.reject(w, "decompress", name, status, err, start)
-		return
-	}
-	defer gr.release()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(api.HeaderCodec, name)
-	out := &respWriter{ResponseWriter: w}
-	zr, err := c.NewReader(bytes.NewReader(stream), p)
-	if err != nil {
-		s.reject(w, "decompress", name, streamErrStatus(err), err, start)
-		return
-	}
-	cbuf := scratch.Bytes(streamCopyBuffer)
-	defer scratch.PutBytes(cbuf)
-	sp := tr.StartSpan("decode")
-	_, err = io.CopyBuffer(out, zr, cbuf)
-	if cerr := zr.Close(); err == nil {
-		err = cerr
-	}
-	sp.End()
-	s.finishStream(w, out, "decompress", name, 0, err, start)
+	return true
 }
 
-// serveSlabsFromStore answers /v1/slabs for a digest-referenced
-// container: footer-index JSON from the mmap'd entry, no CRC walk.
-func (s *Server) serveSlabsFromStore(w http.ResponseWriter, r *http.Request, ent *store.Entry, start time.Time) {
-	defer ent.Release()
-	gr, status, err := s.admit(r.Context(), obs.FromContext(r.Context()), mmapReadCharge, 1)
-	if err != nil {
-		s.reject(w, "slabs", "", status, err, start)
-		return
+// revalidated answers 304 when If-None-Match already names a buffered
+// body — checked before any footer walk or decode, the expensive part a
+// repeat reader can still skip. A store source was checked when it was
+// opened.
+func (s *Server) revalidated(w http.ResponseWriter, r *http.Request, src *source, endpoint string, start time.Time) bool {
+	if src.ent != nil {
+		return false
 	}
-	defer gr.release()
-	ix, err := s.storedIndex(ent)
-	if err != nil {
-		s.reject(w, "slabs", "", http.StatusBadRequest, err, start)
-		return
+	src.etag = etagFor(bodyDigest(src.stream))
+	if !ifNoneMatchHas(r, src.etag) {
+		return false
 	}
-	resp, err := json.Marshal(codec.SlabIndexFrom(ent.Bytes(), ix))
-	if err != nil {
-		s.reject(w, "slabs", "blocked", http.StatusInternalServerError, err, start)
-		return
-	}
-	resp = append(resp, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(resp)
-	s.met.record("slabs", "blocked", http.StatusOK, 0, int64(len(resp)), time.Since(start))
+	s.notModified(w, endpoint, "blocked", src.etag, start)
+	return true
 }
 
-// storedIndex parses a store entry's container index. The entry's
-// integrity was digest-verified when it was written, so the
-// O(container) CRC pass is skipped — this is most of the non-decode
-// saving on the warm path.
-func (s *Server) storedIndex(ent *store.Entry) (*blocked.Index, error) {
-	if _, err := codec.Detect(ent.Bytes()); err != nil {
-		return nil, err
+// index parses the loaded container's footer index, once per request.
+// A body is untrusted, so its CRC is verified; a store entry's
+// integrity was digest-verified when it was written, and skipping the
+// O(container) CRC walk is most of the non-decode saving on the warm
+// path.
+func (src *source) index() (*blocked.Index, error) {
+	if src.ix != nil || src.ixErr != nil {
+		return src.ix, src.ixErr
 	}
-	ix, err := blocked.InspectNoVerify(ent.Bytes())
-	if err != nil {
-		return nil, err
+	c, err := codec.Detect(src.stream)
+	switch {
+	case err != nil:
+		src.ixErr = err
+	case c.Name() != "blocked":
+		src.ixErr = fmt.Errorf("codec %s has no slab index (random access needs a blocked container)", c.Name())
+	case src.ent != nil:
+		src.ix, src.ixErr = blocked.InspectNoVerify(src.stream)
+	default:
+		src.ix, src.ixErr = blocked.Inspect(src.stream)
 	}
-	return ix, nil
+	return src.ix, src.ixErr
 }
 
-// wantsCompressedSlab reports whether the client asked for the raw
-// compressed extent rather than decoded samples.
-func wantsCompressedSlab(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if mt, _, _ := strings.Cut(strings.TrimSpace(part), ";"); mt == SlabContentType {
-			return true
-		}
+// keep stamps a validated container's ETag on the response and
+// persists a body container, so the next read can reference the digest
+// instead of re-uploading (tier-2 fill through the body path).
+func (s *Server) keep(w http.ResponseWriter, src *source) {
+	if src.ent == nil { // a store source stamped its ETag when opened
+		s.storePut(src.stream)
+		w.Header().Set("Etag", src.etag)
 	}
-	return false
 }
 
-// serveSlabFromStore answers /v1/slab/{spec} for a digest-referenced
-// container off the mmap'd entry: the compressed extent zero-copy when
-// the client accepts it, decoded samples otherwise.
-func (s *Server) serveSlabFromStore(w http.ResponseWriter, r *http.Request, ent *store.Entry, lo, hi int, start time.Time) {
-	defer ent.Release()
-	ix, err := s.storedIndex(ent)
-	if err != nil {
-		s.reject(w, "slab", "", http.StatusBadRequest, err, start)
-		return
+// release returns what the request held: the grant, the body buffer
+// (to the scratch pool) or the entry's mapping.
+func (src *source) release() {
+	if src.gr != nil {
+		src.gr.release()
 	}
-	tr := obs.FromContext(r.Context())
-	if wantsCompressedSlab(r) && !ix.SharedCodebook() {
-		gr, status, err := s.admit(r.Context(), tr, mmapReadCharge, 1)
-		if err != nil {
-			s.reject(w, "slab", "blocked", status, err, start)
-			return
-		}
-		defer gr.release()
-		s.serveSlabExtent(w, tr, ent.Bytes(), ix, lo, hi, 0, start)
-		return
+	if src.ent != nil {
+		src.ent.Release()
+	} else if src.stream != nil {
+		scratch.PutBytes(src.stream)
 	}
-	// Raw samples: charge the decode footprint only — the container
-	// itself is mmap'd, so unlike the body path no buffered copy pins
-	// the budget.
-	gr, status, err := s.admit(r.Context(), tr, s.slabDecodeCharge(ix, lo, hi), 1)
-	if err != nil {
-		s.reject(w, "slab", "blocked", status, err, start)
-		return
-	}
-	defer gr.release()
-	sp := tr.StartSpan("decode")
-	arr, dt, err := blocked.DecompressSlabRangeIndexed(ent.Bytes(), ix, lo, hi)
-	sp.End()
-	if err != nil {
-		s.rejectSlabErr(w, err, start)
-		return
-	}
-	s.writeSlabRaw(w, arr, dt, lo, hi, 0, start)
-}
-
-// serveSlabExtent writes the compressed byte extent of slabs lo..hi —
-// a pure slice of the container, the zero-copy fast path. The caller
-// holds the admission grant.
-func (s *Server) serveSlabExtent(w http.ResponseWriter, tr *obs.Trace, stream []byte, ix *blocked.Index, lo, hi int, bytesIn int64, start time.Time) {
-	off, end, err := ix.SlabExtent(lo, hi)
-	if err != nil {
-		s.rejectSlabErr(w, err, start)
-		return
-	}
-	rowLo, _ := ix.SlabBounds(lo)
-	_, rowHi := ix.SlabBounds(hi)
-	dims := append([]int(nil), ix.Dims...)
-	dims[0] = rowHi - rowLo
-	w.Header().Set("Content-Type", SlabContentType)
-	w.Header().Set(api.HeaderCodec, "blocked")
-	w.Header().Set(api.HeaderDims, codec.FormatDims(dims))
-	w.Header().Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
-	w.Header().Set(api.HeaderSlabLengths, formatSlabLengths(ix, lo, hi))
-	out := &respWriter{ResponseWriter: w}
-	sp := tr.StartSpan("mmap_serve")
-	_, err = out.Write(stream[off:end])
-	sp.End()
-	s.finishStream(w, out, "slab", "blocked", bytesIn, err, start)
-}
-
-// formatSlabLengths renders the per-slab stream lengths of lo..hi as a
-// comma list so an extent's receiver can split it without re-fetching
-// the index.
-func formatSlabLengths(ix *blocked.Index, lo, hi int) string {
-	var b strings.Builder
-	for i := lo; i <= hi; i++ {
-		if i > lo {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", ix.Offsets[i+1]-ix.Offsets[i])
-	}
-	return b.String()
-}
-
-// slabDecodeCharge is the decode-only admission charge for a slab range
-// (the calibrated 24 B/cell of slabCharge without the buffered-body
-// base).
-func (s *Server) slabDecodeCharge(ix *blocked.Index, lo, hi int) int64 {
-	rowCells := int64(1)
-	for _, d := range ix.Dims[1:] {
-		rowCells = satMul(rowCells, int64(d))
-	}
-	rows := satMul(int64(hi-lo+1), int64(ix.SlabRows))
-	if rows > int64(ix.Dims[0]) {
-		rows = int64(ix.Dims[0])
-	}
-	c := satMul(satMul(rows, rowCells), 24)
-	if c < mmapReadCharge {
-		c = mmapReadCharge
-	}
-	return c
-}
-
-// rejectSlabErr maps slab decode errors to their status (416 for a
-// well-formed range beyond the container, 400 otherwise).
-func (s *Server) rejectSlabErr(w http.ResponseWriter, err error, start time.Time) {
-	status := http.StatusBadRequest
-	if errors.Is(err, blocked.ErrSlabRange) {
-		status = http.StatusRequestedRangeNotSatisfiable
-	}
-	s.reject(w, "slab", "blocked", status, err, start)
-}
-
-// writeSlabRaw streams a decoded slab range as raw samples.
-func (s *Server) writeSlabRaw(w http.ResponseWriter, arr *grid.Array, dt grid.DType, lo, hi int, bytesIn int64, start time.Time) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(api.HeaderCodec, "blocked")
-	w.Header().Set(api.HeaderDtype, dt.String())
-	w.Header().Set(api.HeaderDims, codec.FormatDims(arr.Dims))
-	w.Header().Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
-	out := &respWriter{ResponseWriter: w}
-	err := arr.WriteRaw(out, dt)
-	s.finishStream(w, out, "slab", "blocked", bytesIn, err, start)
 }
 
 // handleContainer is the peer-fill/admin surface of the store:
