@@ -44,6 +44,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/codec"
 	"repro/internal/obs"
+	"repro/internal/tlsconf"
 )
 
 func main() {
@@ -113,12 +114,13 @@ every subcommand:
   -remote addr  run against an szd daemon at addr instead of in-process
   -timing       print the daemon's Server-Timing stage breakdown to stderr
                 (remote only; includes be-* backend stages via szrouter)
-
-c and d additionally (remote only):
   -tenant key   API key for per-tenant admission; the tenant is the
                 key's prefix up to the first "." (no key = "default")
   -priority p   admission class: interactive (default) or batch
                 (batch sheds first when the daemon is loaded)
+  -tls-ca f     connect over TLS, verifying the daemon against PEM CA f
+  -tls-cert f   PEM client certificate for an mTLS daemon (with -tls-key)
+  -tls-key f    PEM private key for -tls-cert
 `, sz.DefaultLayers, sz.DefaultIntervalBits)
 }
 
@@ -214,29 +216,56 @@ func inputSize(path string) int64 {
 	return -1
 }
 
+// remoteFlags are the daemon-connection flags every subcommand takes.
+type remoteFlags struct {
+	addr, tenant, priority string
+	tlsCA, tlsCert, tlsKey string
+	timing                 bool
+}
+
+// addRemoteFlags registers the daemon-connection flags on fs.
+func addRemoteFlags(fs *flag.FlagSet) *remoteFlags {
+	rf := &remoteFlags{}
+	fs.StringVar(&rf.addr, "remote", "", "szd daemon address")
+	fs.BoolVar(&rf.timing, "timing", false, "print the daemon's Server-Timing stage breakdown to stderr")
+	fs.StringVar(&rf.tenant, "tenant", "", "API key for per-tenant admission (tenant = prefix up to the first '.')")
+	fs.StringVar(&rf.priority, "priority", "", "admission class: interactive (default) or batch (sheds first under load)")
+	fs.StringVar(&rf.tlsCA, "tls-ca", "", "verify the daemon's TLS certificate against this PEM CA (connects over https)")
+	fs.StringVar(&rf.tlsCert, "tls-cert", "", "PEM client certificate for an mTLS daemon (requires -tls-key)")
+	fs.StringVar(&rf.tlsKey, "tls-key", "", "PEM private key for -tls-cert")
+	return rf
+}
+
 // newRemoteClient builds the daemon client for a subcommand; with
 // -timing, every response's Server-Timing breakdown (the daemon's stage
 // spans, plus be-* backend stages merged by szrouter) prints to stderr.
-// apiKey and priority thread the -tenant/-priority flags through to the
-// daemon's per-tenant admission control.
-func newRemoteClient(addr string, timing bool, apiKey, priority string) (*client.Client, error) {
+// -tenant and -priority thread through to the daemon's per-tenant
+// admission control; any -tls-* flag switches the connection to TLS.
+func newRemoteClient(rf *remoteFlags) (*client.Client, error) {
 	var opts []client.Option
-	if timing {
+	if rf.timing {
 		opts = append(opts, client.WithTiming(func(endpoint string, entries []obs.TimingEntry) {
 			fmt.Fprintf(os.Stderr, "sz: %s timing:\n%s", endpoint, obs.FormatTimingTable(entries))
 		}))
 	}
-	if apiKey != "" {
-		opts = append(opts, client.WithTenant(apiKey))
+	if rf.tenant != "" {
+		opts = append(opts, client.WithTenant(rf.tenant))
 	}
-	if priority != "" {
-		p, err := api.ParsePriority(priority)
+	if rf.priority != "" {
+		p, err := api.ParsePriority(rf.priority)
 		if err != nil {
 			return nil, err
 		}
 		opts = append(opts, client.WithPriority(p))
 	}
-	return client.New(addr, opts...)
+	if rf.tlsCA != "" || rf.tlsCert != "" || rf.tlsKey != "" {
+		cfg, err := tlsconf.Client(rf.tlsCA, rf.tlsCert, rf.tlsKey, "")
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, client.WithTLS(cfg))
+	}
+	return client.New(rf.addr, opts...)
 }
 
 func cmdCompress(args []string) error {
@@ -255,10 +284,7 @@ func cmdCompress(args []string) error {
 		streams   = fs.String("streams", "auto", "interleaved Huffman sub-streams per slab: auto|1..16")
 		container = fs.String("container", "auto", "blocked container version: auto|v2|v3")
 		sharedCB  = fs.Bool("sharedcb", false, "blocked v3: one shared codebook for all slabs")
-		remote    = fs.String("remote", "", "szd daemon address")
-		timing    = fs.Bool("timing", false, "print the daemon's Server-Timing stage breakdown to stderr")
-		tenant    = fs.String("tenant", "", "API key for per-tenant admission (tenant = prefix up to the first '.')")
-		priority  = fs.String("priority", "", "admission class: interactive (default) or batch (sheds first under load)")
+		remote    = addRemoteFlags(fs)
 	)
 	fs.Parse(args)
 	in, out := fs.Arg(0), fs.Arg(1)
@@ -274,9 +300,9 @@ func cmdCompress(args []string) error {
 		return fmt.Errorf("bad -container %q (auto|v2|v3)", *container)
 	}
 	var cl *client.Client
-	if *remote != "" {
+	if remote.addr != "" {
 		var err error
-		if cl, err = newRemoteClient(*remote, *timing, *tenant, *priority); err != nil {
+		if cl, err = newRemoteClient(remote); err != nil {
 			return err
 		}
 	}
@@ -309,7 +335,7 @@ func cmdCompress(args []string) error {
 	// Validate the codec name up front so a typo fails with the list of
 	// registered codecs before any file is created or byte is read.
 	// (Remote mode defers to the daemon's registry.)
-	if *remote == "" {
+	if remote.addr == "" {
 		if _, err := codec.Lookup(*codecName); err != nil {
 			return err
 		}
@@ -418,16 +444,13 @@ func cmdDecompress(args []string) error {
 		dtypeStr  = fs.String("dtype", "f64", "element type for codecs that do not record it")
 		workers   = fs.Int("workers", 0, "decode parallelism where supported")
 		slabSpec  = fs.String("slab", "", "random-access decode of a blocked container: slab index or lo-hi range")
-		remote    = fs.String("remote", "", "szd daemon address")
 		digest    = fs.String("digest", "", "content address of a container in the daemon's store (remote only): read by digest, no input upload")
-		timing    = fs.Bool("timing", false, "print the daemon's Server-Timing stage breakdown to stderr")
-		tenant    = fs.String("tenant", "", "API key for per-tenant admission (tenant = prefix up to the first '.')")
-		priority  = fs.String("priority", "", "admission class: interactive (default) or batch (sheds first under load)")
+		remote    = addRemoteFlags(fs)
 	)
 	fs.Parse(args)
 	in, out := fs.Arg(0), fs.Arg(1)
 	if *digest != "" {
-		if *remote == "" {
+		if remote.addr == "" {
 			return fmt.Errorf("-digest needs -remote (the container lives in a daemon's store)")
 		}
 		// No input file travels: arg 0 is the output.
@@ -459,7 +482,7 @@ func cmdDecompress(args []string) error {
 		// Content-addressed read: the daemon serves off its store, the
 		// client uploads nothing. Slab ranges come back as compressed
 		// extents decoded locally — the backend does no decode work.
-		cl, err := newRemoteClient(*remote, *timing, *tenant, *priority)
+		cl, err := newRemoteClient(remote)
 		if err != nil {
 			return err
 		}
@@ -492,8 +515,8 @@ func cmdDecompress(args []string) error {
 			return err
 		}
 		name = "blocked"
-		if *remote != "" {
-			cl, err := newRemoteClient(*remote, *timing, *tenant, *priority)
+		if remote.addr != "" {
+			cl, err := newRemoteClient(remote)
 			if err != nil {
 				return err
 			}
@@ -515,8 +538,8 @@ func cmdDecompress(args []string) error {
 			}
 			zr = io.NopCloser(&raw)
 		}
-	} else if *remote != "" {
-		cl, err := newRemoteClient(*remote, *timing, *tenant, *priority)
+	} else if remote.addr != "" {
+		cl, err := newRemoteClient(remote)
 		if err != nil {
 			return err
 		}
@@ -573,7 +596,7 @@ func cmdInspect(args []string) error {
 	fs := flag.NewFlagSet("sz inspect", flag.ExitOnError)
 	var (
 		asJSON = fs.Bool("json", false, "machine-readable output")
-		remote = fs.String("remote", "", "szd daemon address")
+		remote = addRemoteFlags(fs)
 	)
 	fs.Parse(args)
 	r, err := openIn(fs.Arg(0))
@@ -583,8 +606,8 @@ func cmdInspect(args []string) error {
 	defer r.Close()
 
 	var si *codec.StreamInfo
-	if *remote != "" {
-		cl, err := client.New(*remote)
+	if remote.addr != "" {
+		cl, err := newRemoteClient(remote)
 		if err != nil {
 			return err
 		}
@@ -614,11 +637,11 @@ func cmdInspect(args []string) error {
 
 func cmdCodecs(args []string) error {
 	fs := flag.NewFlagSet("sz codecs", flag.ExitOnError)
-	remote := fs.String("remote", "", "szd daemon address")
+	remote := addRemoteFlags(fs)
 	fs.Parse(args)
 	names := sz.Codecs()
-	if *remote != "" {
-		cl, err := client.New(*remote)
+	if remote.addr != "" {
+		cl, err := newRemoteClient(remote)
 		if err != nil {
 			return err
 		}

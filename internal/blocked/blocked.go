@@ -52,6 +52,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/huffman"
+	"repro/internal/scratch"
 )
 
 const (
@@ -591,17 +592,29 @@ func DecompressSlabRange(stream []byte, lo, hi int) (*grid.Array, grid.DType, er
 // caller already parsed — via Inspect, or InspectNoVerify for bytes
 // whose integrity is vouched for elsewhere (a digest-verified store
 // entry). It never re-walks the container.
+//
+// The returned Data is drawn from the scratch pool (the decode assigns
+// every element, so it is not cleared first). A caller done with it may
+// hand it back with scratch.PutFloat64s; one that keeps it, or drops it
+// to the garbage collector, needs to do nothing.
 func DecompressSlabRangeIndexed(stream []byte, ix *Index, lo, hi int) (*grid.Array, grid.DType, error) {
 	if lo < 0 || hi >= ix.NumSlabs() || lo > hi {
 		return nil, 0, fmt.Errorf("blocked: %w: %d-%d of [0,%d)", ErrSlabRange, lo, hi, ix.NumSlabs())
+	}
+	b := body(stream, ix)
+	cb, err := sharedCodebook(stream, ix)
+	if err != nil {
+		return nil, 0, err
 	}
 	rowLo, _ := ix.SlabBounds(lo)
 	_, rowHi := ix.SlabBounds(hi)
 	dims := append([]int(nil), ix.Dims...)
 	dims[0] = rowHi - rowLo
-	out := grid.New(dims...)
-	b := body(stream, ix)
-	cb, err := sharedCodebook(stream, ix)
+	elems := 1
+	for _, d := range dims {
+		elems *= d
+	}
+	out, err := grid.FromData(scratch.Float64s(elems), dims...)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -639,11 +652,13 @@ func DecompressSlabRangeIndexed(stream []byte, ix *Index, lo, hi int) (*grid.Arr
 	wg.Wait()
 	for k, err := range errs {
 		if err != nil {
+			scratch.PutFloat64s(out.Data)
 			return nil, 0, fmt.Errorf("blocked: slab %d: %w", lo+k, err)
 		}
 	}
 	for k := 1; k < n; k++ {
 		if dtypes[k] != dtypes[0] {
+			scratch.PutFloat64s(out.Data)
 			return nil, 0, fmt.Errorf("%w: slab %d element type %v, container uses %v",
 				ErrCorrupt, lo+k, dtypes[k], dtypes[0])
 		}

@@ -801,23 +801,15 @@ func (r *Reader) nextSlab() error {
 		}
 	}
 	// Serialize the reconstruction into the reusable output buffer —
-	// byte-identical to grid.Array.WriteRaw (same IEEE conversions in
-	// the same order), without the intermediate bytes.Buffer.
+	// the bytes grid.Array.WriteRaw writes, without the intermediate
+	// bytes.Buffer.
 	need := len(slab.Data) * r.dtype.Size()
 	if cap(r.curBuf) < need {
 		scratch.PutBytes(r.curBuf)
 		r.curBuf = scratch.Bytes(need)
 	}
 	out := r.curBuf[:need]
-	if r.dtype == grid.Float32 {
-		for k, v := range slab.Data {
-			binary.LittleEndian.PutUint32(out[k*4:], math.Float32bits(float32(v)))
-		}
-	} else {
-		for k, v := range slab.Data {
-			binary.LittleEndian.PutUint64(out[k*8:], math.Float64bits(v))
-		}
-	}
+	grid.EncodeRaw(out, slab.Data, r.dtype)
 	r.cur = out
 	r.curOff = 0
 	r.lengths = append(r.lengths, total)

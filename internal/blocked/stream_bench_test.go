@@ -3,11 +3,13 @@ package blocked
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/grid"
+	"repro/internal/scratch"
 )
 
 // Hurricane-shaped 3D float32 field (the paper's 100x500x500 layout,
@@ -128,5 +130,36 @@ func BenchmarkBlockedStreamRead(b *testing.B) {
 		if _, err := io.Copy(io.Discard, r); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSlabDecode1T decodes one raw slab the way szd's
+// /v1/slab/{spec} does (DecompressSlabRangeIndexed against a parsed
+// index, output handed back to the pool) on a single core: slab 2 of a
+// 50×250×250 Hurricane field, container v3 with 4 sub-streams per slab,
+// abs bound 1e-3 — the layout the loopback-fleet benchmark serves.
+// Unlike BenchmarkCoreKernels' outlier-heavy random data, this is the
+// smooth field the reconstruct loop meets in service.
+func BenchmarkSlabDecode1T(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, p, _ := benchField(b)
+	p.Core.Streams = 4
+	stream, _, err := Compress(a, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := Inspect(stream)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(10 * 250 * 250 * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arr, _, err := DecompressSlabRangeIndexed(stream, ix, 2, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scratch.PutFloat64s(arr.Data)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/scratch"
 )
 
 // CodecsInfo is the /v1/codecs response: the registered codec names
@@ -127,7 +128,7 @@ func (c *Client) ReadSlabAt(ctx context.Context, digest string, lo, hi int) (io.
 		return c.wrapTiming("slab", resp), nil
 	}
 	// Buffer cacheable-sized bodies so the next read can revalidate.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, slabCacheEntryLimit+1))
+	body, err := scratch.ReadCapped(resp.Body, slabCacheEntryLimit+1, resp.ContentLength)
 	if err != nil {
 		resp.Body.Close()
 		return nil, err

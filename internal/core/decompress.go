@@ -167,17 +167,23 @@ func decompress(stream []byte, kernels bool, data []float64, ext *huffman.Codebo
 	} else {
 		out = grid.New(h.Dims...)
 	}
+	// The outliers follow the codes in scan order; decoding them here
+	// keeps the bitstream out of the reconstruct loops.
+	outl := scratch.Float64s(h.NumOutliers)
+	defer scratch.PutFloat64s(outl)
+	dec := binrep.NewDecoder(r)
+	for i := range outl {
+		if outl[i], err = decodeOutlier(dec, r, h.DType); err != nil {
+			return nil, nil, fmt.Errorf("%w: outlier %d: %v", ErrCorrupt, i, err)
+		}
+	}
 	scan := &decompressState{
 		qparams: newQParams(q, h.DType),
 		recon:   out.Data,
 		codes:   codes,
-		r:       r,
-		dec:     binrep.NewDecoder(r),
+		outl:    outl,
 	}
 	scan.scan(h.Dims, h.Layers, pred, kernels)
-	if scan.err != nil {
-		return nil, nil, scan.err
-	}
 	if scan.outliers != h.NumOutliers {
 		return nil, nil, fmt.Errorf("%w: outlier count %d, header says %d", ErrCorrupt, scan.outliers, h.NumOutliers)
 	}

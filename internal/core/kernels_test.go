@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -239,6 +240,132 @@ func TestKernelSelection(t *testing.T) {
 		}
 		if got := s.scan(a.Dims, p.Layers, pred, true); got != tc.want {
 			t.Errorf("dims=%v layers=%d: kernel used = %v, want %v", tc.dims, tc.layers, got, tc.want)
+		}
+	}
+}
+
+// outlierPattern marks the escape codes of an h-row, w-column plane
+// sequence: mark(plane, row, col) reports whether the sample is an
+// outlier.
+type outlierPattern struct {
+	name string
+	mark func(rng *rand.Rand, i, j, k, h, w int) bool
+}
+
+// interleavePatterns place outliers where the interleaved row groups
+// meet them out of serial order: in adjacent rows either way round (row
+// j late and row j+1 early, and the reverse), in a row made entirely of
+// outliers, only in a group's last rows, and everywhere.
+var interleavePatterns = []outlierPattern{
+	{"none", func(*rand.Rand, int, int, int, int, int) bool { return false }},
+	{"sparse", func(rng *rand.Rand, _, _, _, _, _ int) bool { return rng.Intn(23) == 0 }},
+	{"late-then-early", func(_ *rand.Rand, _, j, k, _, w int) bool {
+		return (j%2 == 1 && k == w-1) || (j%2 == 0 && j > 0 && k == 0)
+	}},
+	{"early-then-late", func(_ *rand.Rand, _, j, k, _, w int) bool {
+		return (j%2 == 1 && k == 0) || (j%2 == 0 && j > 0 && k == w-1)
+	}},
+	{"whole-row", func(_ *rand.Rand, _, j, _, _, _ int) bool { return j == 2 || j == 7 }},
+	{"group-tail", func(_ *rand.Rand, _, j, k, _, w int) bool { return j%rowGroup == 0 && k == w/2 }},
+	{"all", func(*rand.Rand, int, int, int, int, int) bool { return true }},
+}
+
+// TestInterleavedReconstruct drives the 2D and 3D Lorenzo reconstruct
+// kernels (interleaved row groups) and the generic scan over the same
+// codes and outliers, and requires bit-identical reconstructions and the
+// same outlier consumption. Outlier values are distinct, so taking one
+// out of scan order shows. Heights are odd and even, around the group
+// size; widths include 1, 2 and 3.
+func TestInterleavedReconstruct(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	q, err := quant.New(1e-3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shapes [][]int
+	for _, h := range []int{1, 2, 3, 5, 7, 9, 13} {
+		for _, w := range []int{1, 2, 3, 8, 17} {
+			shapes = append(shapes, []int{h, w}, []int{3, h, w})
+		}
+	}
+	for _, dims := range shapes {
+		pred, err := predictor.New(dims, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		h, w := dims[len(dims)-2], dims[len(dims)-1]
+		for _, pat := range interleavePatterns {
+			codes := make([]int, n)
+			var outl []float64
+			for idx := range codes {
+				k, j, i := idx%w, idx/w%h, idx/(w*h)
+				if pat.mark(rng, i, j, k, h, w) {
+					outl = append(outl, 1000+float64(len(outl))+0.25)
+					continue
+				}
+				codes[idx] = 1 + rng.Intn(q.NumCodes()-1)
+			}
+			for _, dtype := range []grid.DType{grid.Float32, grid.Float64} {
+				run := func(kernels bool) *decompressState {
+					s := &decompressState{
+						qparams: newQParams(q, dtype),
+						recon:   make([]float64, n),
+						codes:   codes,
+						outl:    outl,
+					}
+					if used := s.scan(dims, 1, pred, kernels); used != kernels {
+						t.Fatalf("dims=%v: kernel used = %v, want %v", dims, used, kernels)
+					}
+					return s
+				}
+				fast, ref := run(true), run(false)
+				id := fmt.Sprintf("dims=%v %s %v", dims, pat.name, dtype)
+				if fast.outliers != len(outl) || ref.outliers != len(outl) {
+					t.Fatalf("%s: consumed %d (kernel) and %d (generic) outliers of %d",
+						id, fast.outliers, ref.outliers, len(outl))
+				}
+				for idx := range fast.recon {
+					if math.Float64bits(fast.recon[idx]) != math.Float64bits(ref.recon[idx]) {
+						t.Fatalf("%s: sample %d: kernel %v, generic %v", id, idx, fast.recon[idx], ref.recon[idx])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInterleavedRoundTrip compresses fields whose spikes land in the
+// interleaving's awkward places and checks the kernel and generic paths
+// agree end to end (stream bytes, stats, reconstruction, bound), for
+// f32 and f64, 2D and 3D.
+func TestInterleavedRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, dims := range [][]int{{9, 3}, {13, 2}, {7, 1}, {11, 17}, {3, 9, 3}, {2, 13, 2}, {3, 7, 1}, {2, 11, 17}} {
+		h, w := dims[len(dims)-2], dims[len(dims)-1]
+		for _, pat := range interleavePatterns {
+			for _, f32 := range []bool{false, true} {
+				a := grid.New(dims...)
+				for idx := range a.Data {
+					k, j, i := idx%w, idx/w%h, idx/(w*h)
+					v := math.Sin(float64(idx)*0.05) + rng.NormFloat64()*1e-3
+					if pat.mark(rng, i, j, k, h, w) {
+						v = 1e6 * (1 + rng.Float64()) // quantizer escape
+					}
+					if f32 {
+						v = float64(float32(v))
+					}
+					a.Data[idx] = v
+				}
+				p := Params{Mode: BoundAbs, AbsBound: 1e-3}
+				if f32 {
+					p.OutputType = grid.Float32
+				}
+				checkEquivalence(t, a, p, dims, 1)
+			}
 		}
 	}
 }

@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/obs"
+	"repro/internal/scratch"
 	"repro/internal/store"
 )
 
@@ -1228,7 +1229,7 @@ func (rt *Router) relayCaptured(w http.ResponseWriter, tr *obs.Trace, resp *http
 	defer resp.Body.Close()
 	tr.MergeServerTiming("be-", resp.Header.Get("Server-Timing"))
 	sp := tr.StartSpan("relay")
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, rt.entryLimit+1))
+	buf, err := scratch.ReadCapped(resp.Body, rt.entryLimit+1, resp.ContentLength)
 	if err != nil {
 		sp.End()
 		// The backend died mid-response. The client must see a broken
@@ -1244,7 +1245,9 @@ func (rt *Router) relayCaptured(w http.ResponseWriter, tr *obs.Trace, resp *http
 		w.Header().Set(api.HeaderBackend, backend)
 		w.WriteHeader(resp.StatusCode)
 		w.Write(buf)
-		io.CopyBuffer(w, resp.Body, make([]byte, 256<<10))
+		cbuf := scratch.Bytes(256 << 10)
+		io.CopyBuffer(w, resp.Body, cbuf)
+		scratch.PutBytes(cbuf)
 		sp.End()
 		tr.MergeServerTiming("be-", resp.Trailer.Get("Server-Timing"))
 		if d := etagDigest(resp); d != "" {

@@ -237,39 +237,48 @@ func (t DType) String() string {
 	return fmt.Sprintf("DType(%d)", uint8(t))
 }
 
+// rawChunk is the size of WriteRaw's conversion buffer: large writes
+// keep the per-call cost of the destination small, and the buffer stays
+// cache-resident between conversion and write.
+const rawChunk = 256 << 10
+
 // WriteRaw writes the flat data to w as little-endian values of the given
 // type, with no header — the format used for raw scientific data files.
 func (a *Array) WriteRaw(w io.Writer, t DType) error {
-	buf := scratch.Bytes(8192)
-	defer scratch.PutBytes(buf)
 	es := t.Size()
 	if es == 0 {
 		return fmt.Errorf("grid: unknown dtype %v", t)
 	}
-	off := 0
-	flush := func() error {
-		if off == 0 {
-			return nil
+	buf := scratch.Bytes(min(rawChunk, len(a.Data)*es))
+	defer scratch.PutBytes(buf)
+	per := len(buf) / es
+	for data := a.Data; len(data) > 0; {
+		n := min(len(data), per)
+		EncodeRaw(buf, data[:n], t)
+		if _, err := w.Write(buf[:n*es]); err != nil {
+			return err
 		}
-		_, err := w.Write(buf[:off])
-		off = 0
-		return err
+		data = data[n:]
 	}
-	for _, v := range a.Data {
-		if off+es > len(buf) {
-			if err := flush(); err != nil {
-				return err
-			}
+	return nil
+}
+
+// EncodeRaw stores src into dst as little-endian values of type t, the
+// bytes WriteRaw writes. dst must hold len(src)·t.Size() bytes; an
+// unknown t leaves dst untouched.
+func EncodeRaw(dst []byte, src []float64, t DType) {
+	switch t {
+	case Float32:
+		dst = dst[:4*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(v)))
 		}
-		switch t {
-		case Float32:
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
-		case Float64:
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
+	case Float64:
+		dst = dst[:8*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 		}
-		off += es
 	}
-	return flush()
 }
 
 // ReadRaw reads product(dims) little-endian values of type t from r.

@@ -2,6 +2,9 @@ package grid
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,6 +167,72 @@ func TestWriteReadRaw(t *testing.T) {
 		if !a.Equal(b) {
 			t.Fatalf("%v: raw round trip mismatch", dt)
 		}
+	}
+}
+
+// failWriter accepts limit bytes, then fails.
+type failWriter struct {
+	n, limit int
+	err      error
+}
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	if f.n+len(p) > f.limit {
+		return 0, f.err
+	}
+	f.n += len(p)
+	return len(p), nil
+}
+
+// TestWriteRawMatchesPerElement checks WriteRaw's chunked conversion
+// against a plain per-element little-endian encoding, on lengths that
+// end before, on and after its chunk boundaries, for both widths —
+// NaN, ±Inf, −0 and values that round when narrowed included.
+func TestWriteRawMatchesPerElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1 + 1e-12, math.MaxFloat64}
+	for _, dt := range []DType{Float32, Float64} {
+		per := rawChunk / dt.Size()
+		for _, n := range []int{1, 7, per - 1, per, per + 1, 2*per + 3} {
+			a := New(n)
+			for i := range a.Data {
+				a.Data[i] = rng.NormFloat64() * 1e3
+				if i%97 == 0 {
+					a.Data[i] = special[(i/97)%len(special)]
+				}
+			}
+			want := make([]byte, 0, n*dt.Size())
+			for _, v := range a.Data {
+				if dt == Float32 {
+					want = binary.LittleEndian.AppendUint32(want, math.Float32bits(float32(v)))
+				} else {
+					want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+				}
+			}
+			var buf bytes.Buffer
+			if err := a.WriteRaw(&buf, dt); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%v n=%d: WriteRaw bytes differ from the per-element encoding", dt, n)
+			}
+		}
+	}
+}
+
+// TestWriteRawPropagatesWriterError checks a failing writer's error
+// comes back, on the first write and after some chunks went through.
+func TestWriteRawPropagatesWriterError(t *testing.T) {
+	boom := errors.New("boom")
+	a := New(3 * rawChunk / 4)
+	for _, limit := range []int{0, rawChunk} {
+		w := &failWriter{limit: limit, err: boom}
+		if err := a.WriteRaw(w, Float32); err != boom {
+			t.Fatalf("limit %d: err %v, want %v", limit, err, boom)
+		}
+	}
+	if err := a.WriteRaw(io.Discard, DType(9)); err == nil {
+		t.Fatal("unknown dtype accepted")
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"repro/internal/blocked"
 	"repro/internal/codec"
 	"repro/internal/obs"
+	"repro/internal/scratch"
 )
 
 // slabCharge estimates the memory a slab-range read pins: the buffered
@@ -182,6 +183,7 @@ func (s *Server) handleSlab(w http.ResponseWriter, r *http.Request) {
 	h.Set(api.HeaderSlabs, codec.FormatSlabSpec(lo, hi))
 	out := &respWriter{ResponseWriter: w}
 	err = arr.WriteRaw(out, dt)
+	scratch.PutFloat64s(arr.Data)
 	s.finishStream(w, out, "slab", "blocked", src.bytesIn(), err, start)
 }
 
