@@ -668,8 +668,9 @@ func DecompressSlabRangeIndexed(stream []byte, ix *Index, lo, hi int) (*grid.Arr
 
 // decodeSlabInto decompresses slab i directly into dst (the output
 // rows the slab covers). When the stream's geometry does not fit dst the
-// core falls back to a private allocation, so a corrupt slab can at
-// worst scribble on rows its caller is about to discard with the error.
+// core falls back to a private allocation and leaves dst unwritten, so
+// any slab that did not decode exactly into all of dst is an error:
+// dst may be a recycled buffer holding an earlier decode's samples.
 func decodeSlabInto(b []byte, ix *Index, i int, dst []float64, cb *huffman.Codebook) (grid.DType, error) {
 	lo, hi := ix.Offsets[i], ix.Offsets[i+1]
 	if lo > hi || hi > len(b) {
@@ -683,10 +684,26 @@ func decodeSlabInto(b []byte, ix *Index, i int, dst []float64, cb *huffman.Codeb
 	if slab.Dims[0] != wantHi-wantLo {
 		return 0, fmt.Errorf("%w: slab %d has %d rows, want %d", ErrCorrupt, i, slab.Dims[0], wantHi-wantLo)
 	}
-	for d := 1; d < len(ix.Dims); d++ {
-		if d >= len(slab.Dims) || slab.Dims[d] != ix.Dims[d] {
-			return 0, fmt.Errorf("%w: slab %d dims %v do not match container %v", ErrCorrupt, i, slab.Dims, ix.Dims)
-		}
+	if err := checkSlabDims(i, slab.Dims, ix.Dims); err != nil {
+		return 0, err
+	}
+	if len(slab.Data) != len(dst) || len(dst) > 0 && &slab.Data[0] != &dst[0] {
+		return 0, fmt.Errorf("%w: slab %d did not decode into its output rows", ErrCorrupt, i)
 	}
 	return h.DType, nil
+}
+
+// checkSlabDims reports whether a slab's decoded dims match its
+// container's in rank and in every dim past the first (the row count
+// is checked by the caller).
+func checkSlabDims(i int, slab, container []int) error {
+	if len(slab) != len(container) {
+		return fmt.Errorf("%w: slab %d dims %v do not match container %v", ErrCorrupt, i, slab, container)
+	}
+	for d := 1; d < len(container); d++ {
+		if slab[d] != container[d] {
+			return fmt.Errorf("%w: slab %d dims %v do not match container %v", ErrCorrupt, i, slab, container)
+		}
+	}
+	return nil
 }

@@ -1,11 +1,17 @@
 package blocked
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/scratch"
 )
 
 func TestDecompressSlabRange(t *testing.T) {
@@ -168,5 +174,59 @@ func TestInspectNoVerifySkipsCRC(t *testing.T) {
 	short := stream[:len(stream)-3]
 	if _, err := InspectNoVerify(short); err == nil {
 		t.Fatal("truncated container accepted")
+	}
+}
+
+// TestSlabRankMismatchRejected: a 3-D container whose one slab carries a
+// valid 4-D core stream ([rows,h,w,2], so more samples than the slab's
+// output rows hold) must fail every decoder. The range decoder writes
+// into a recycled buffer; accepting such a slab would hand back whatever
+// samples an earlier decode left there.
+func TestSlabRankMismatchRejected(t *testing.T) {
+	const rows, h, w = 4, 3, 3
+	a4 := grid.New(rows, h, w, 2)
+	for i := range a4.Data {
+		a4.Data[i] = math.Sin(float64(i) * 0.1)
+	}
+	slab, _, err := core.Compress(a4, core.Params{Mode: core.BoundAbs, AbsBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := append([]byte(nil), magicV2...)
+	c = append(c, 3)
+	for _, d := range []int{rows, h, w, rows} { // dims, then rows per slab
+		c = binary.AppendUvarint(c, uint64(d))
+	}
+	c = append(c, slab...)
+	foot := binary.AppendUvarint(nil, 1)
+	foot = binary.AppendUvarint(foot, uint64(len(slab)))
+	c = append(c, foot...)
+	c = binary.LittleEndian.AppendUint32(c, uint32(len(foot)))
+	c = binary.LittleEndian.AppendUint32(c, crc32.ChecksumIEEE(c))
+
+	ix, err := Inspect(c)
+	if err != nil {
+		t.Fatalf("crafted container must pass Inspect: %v", err)
+	}
+	const marker = 12345.678
+	for k := 0; k < 4; k++ {
+		stale := scratch.Float64s(rows * h * w)
+		for i := range stale {
+			stale[i] = marker
+		}
+		scratch.PutFloat64s(stale)
+	}
+	if arr, _, err := DecompressSlabRangeIndexed(c, ix, 0, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecompressSlabRangeIndexed: err %v, want ErrCorrupt (data %v)", err, arr)
+	}
+	if _, err := Decompress(c, Params{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decompress: err %v, want ErrCorrupt", err)
+	}
+	r, err := NewReader(bytes.NewReader(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, r); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Reader: err %v, want ErrCorrupt", err)
 	}
 }

@@ -795,10 +795,8 @@ func (r *Reader) nextSlab() error {
 	if slab.Dims[0] != wantHi-wantLo {
 		return fmt.Errorf("%w: slab %d has %d rows, want %d", ErrCorrupt, i, slab.Dims[0], wantHi-wantLo)
 	}
-	for d := 1; d < len(r.dims); d++ {
-		if d >= len(slab.Dims) || slab.Dims[d] != r.dims[d] {
-			return fmt.Errorf("%w: slab %d dims %v do not match container %v", ErrCorrupt, i, slab.Dims, r.dims)
-		}
+	if err := checkSlabDims(i, slab.Dims, r.dims); err != nil {
+		return err
 	}
 	// Serialize the reconstruction into the reusable output buffer —
 	// the bytes grid.Array.WriteRaw writes, without the intermediate

@@ -128,7 +128,7 @@ func (c *Client) ReadSlabAt(ctx context.Context, digest string, lo, hi int) (io.
 		return c.wrapTiming("slab", resp), nil
 	}
 	// Buffer cacheable-sized bodies so the next read can revalidate.
-	body, err := scratch.ReadCapped(resp.Body, slabCacheEntryLimit+1, resp.ContentLength)
+	body, err := scratch.ReadCapped(resp.Body, slabCacheEntryLimit+1)
 	if err != nil {
 		resp.Body.Close()
 		return nil, err

@@ -1229,7 +1229,7 @@ func (rt *Router) relayCaptured(w http.ResponseWriter, tr *obs.Trace, resp *http
 	defer resp.Body.Close()
 	tr.MergeServerTiming("be-", resp.Header.Get("Server-Timing"))
 	sp := tr.StartSpan("relay")
-	buf, err := scratch.ReadCapped(resp.Body, rt.entryLimit+1, resp.ContentLength)
+	buf, err := scratch.ReadCapped(resp.Body, rt.entryLimit+1)
 	if err != nil {
 		sp.End()
 		// The backend died mid-response. The client must see a broken

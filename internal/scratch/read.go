@@ -7,56 +7,29 @@ const readChunk = 256 << 10
 
 // ReadCapped returns what io.ReadAll(io.LimitReader(r, n)) returns: at
 // most n bytes of r, with the first error other than io.EOF. It reads
-// without regrowth copies. A reader of unknown length is read into
-// pooled fixed-size chunks that are copied once into a result of the
-// final size. size, when ≥ 0, is the length r is expected to have (an
-// HTTP Content-Length): the bytes are then read straight into a result
-// of that size, and only a reader longer than it falls back to chunks.
-// The result is freshly allocated, so callers may keep it.
-func ReadCapped(r io.Reader, n, size int64) ([]byte, error) {
+// without regrowth copies: the bytes land in pooled fixed-size chunks
+// that are copied once into a result of the final size. The result is
+// freshly allocated, so callers may keep it.
+func ReadCapped(r io.Reader, n int64) ([]byte, error) {
 	lr := &io.LimitedReader{R: r, N: n}
-	if size < 0 {
-		return readChunks(lr, nil)
-	}
-	buf := make([]byte, min(size, max(n, 0)))
-	m, done, err := fill(lr, buf)
-	if done || err != nil {
-		return buf[:m], err
-	}
-	if lr.N <= 0 {
-		return buf, nil
-	}
-	return readChunks(lr, buf)
-}
-
-// readChunks reads r to EOF or error after the bytes already in head,
-// into pooled chunks, and returns head and the chunks joined.
-func readChunks(r io.Reader, head []byte) ([]byte, error) {
 	var chunks [][]byte
-	total := len(head)
+	total := 0
 	var err error
 	for {
 		c := Bytes(readChunk)
 		var m int
 		var done bool
-		m, done, err = fill(r, c)
+		m, done, err = fill(lr, c)
 		chunks = append(chunks, c[:m])
 		total += m
 		if done || err != nil {
 			break
 		}
 	}
-	out := head
-	if total > len(head) {
-		out = make([]byte, total)
-		k := copy(out, head)
-		for _, c := range chunks {
-			k += copy(out[k:], c)
-		}
-	} else if out == nil {
-		out = []byte{}
-	}
+	out := make([]byte, total)
+	k := 0
 	for _, c := range chunks {
+		k += copy(out[k:], c)
 		PutBytes(c)
 	}
 	return out, err

@@ -25,9 +25,8 @@ func (e *errAfter) Read(p []byte) (int, error) {
 
 // TestReadCappedMatchesReadAll checks ReadCapped against
 // io.ReadAll(io.LimitReader(r, n)) — bytes and error — for empty bodies,
-// bodies of exactly n and n+1 bytes, bodies that fail mid-way, and
-// correct, short, long and unknown declared sizes, on lengths that
-// straddle the chunk size.
+// bodies of exactly n and n+1 bytes, and bodies that fail mid-way, on
+// lengths that straddle the chunk size.
 func TestReadCappedMatchesReadAll(t *testing.T) {
 	boom := errors.New("boom")
 	payload := make([]byte, 3*readChunk+17)
@@ -50,20 +49,18 @@ func TestReadCappedMatchesReadAll(t *testing.T) {
 				continue
 			}
 			body := payload[:length]
-			for _, size := range []int64{-1, 0, length, length - 1, length + 1, n} {
-				for name, src := range sources {
-					if name == "onebyte" && length > 4096 {
-						continue // one byte a call: keep the test quick
-					}
-					want, wantErr := io.ReadAll(io.LimitReader(src(body), n))
-					got, gotErr := ReadCapped(src(body), n, size)
-					id := fmt.Sprintf("%s n=%d len=%d size=%d", name, n, length, size)
-					if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
-						t.Fatalf("%s: got %d bytes, want %d", id, len(got), len(want))
-					}
-					if gotErr != wantErr {
-						t.Fatalf("%s: err %v, want %v", id, gotErr, wantErr)
-					}
+			for name, src := range sources {
+				if name == "onebyte" && length > 4096 {
+					continue // one byte a call: keep the test quick
+				}
+				want, wantErr := io.ReadAll(io.LimitReader(src(body), n))
+				got, gotErr := ReadCapped(src(body), n)
+				id := fmt.Sprintf("%s n=%d len=%d", name, n, length)
+				if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("%s: got %d bytes, want %d", id, len(got), len(want))
+				}
+				if gotErr != wantErr {
+					t.Fatalf("%s: err %v, want %v", id, gotErr, wantErr)
 				}
 			}
 		}
@@ -74,7 +71,7 @@ func TestReadCappedMatchesReadAll(t *testing.T) {
 // chunk: recycling and overwriting the pool's buffers leaves it intact.
 func TestReadCappedOwnsResult(t *testing.T) {
 	body := bytes.Repeat([]byte("sz"), readChunk)
-	got, err := ReadCapped(bytes.NewReader(body), int64(len(body))+1, -1)
+	got, err := ReadCapped(bytes.NewReader(body), int64(len(body))+1)
 	if err != nil {
 		t.Fatal(err)
 	}
